@@ -88,6 +88,8 @@ def _classify_chunk(args) -> list[Verdict]:
 
 
 def cmd_classify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     set_max_order_override(args.max_order)
     ctx = make_context(args.p, args.e)
     max_order = args.max_order

@@ -427,32 +427,43 @@ def quotient_cosets(big: Subgroup, normal: Subgroup) -> tuple[HolElement, ...]:
 
 
 def _generating_sequence(group: AbstractGroup) -> list[int]:
-    """Greedy generators: highest order first, smallest index on ties."""
+    """Greedy generators: highest order first, smallest index on ties.
+
+    The span of the generators chosen so far is kept closed under right
+    multiplication by each of them, which in a finite group is exactly the
+    subgroup they generate.
+    """
     m = group.size
-    orders = group.element_orders
-    span = {0}
+    orders, table = group.element_orders, group.table
+    in_span = [False] * m
+    in_span[0] = True
+    span = [0]
     gens: list[int] = []
     while len(span) < m:
-        best = max((i for i in range(m) if i not in span), key=lambda i: (orders[i], -i))
+        best = max((i for i in range(m) if not in_span[i]), key=lambda i: (orders[i], -i))
         gens.append(best)
-        queue = [best]
-        while queue:
-            x = queue.pop()
-            if x in span:
-                continue
-            span.add(x)
-            for s in list(span):
-                queue.append(group.table[x][s])
-                queue.append(group.table[s][x])
+        for x in span:  # span grows while it is walked
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if not in_span[y]:
+                    in_span[y] = True
+                    span.append(y)
     return gens
 
 
 def find_isomorphism(first: AbstractGroup, second: AbstractGroup) -> Optional[tuple[int, ...]]:
     """An isomorphism first -> second carrying marked onto marked, or None.
 
-    Backtracks over images of a greedy generating sequence; candidate images
-    must share the (order, central, marked) key, and every partial map is
-    propagated through the tables so conflicts surface early.
+    Backtracks over the images of a greedy generating sequence g_1, ..., g_k
+    of first, each image drawn from the elements of second that share the
+    generator's (order, central, marked) key.  After each choice the map is
+    extended breadth-first over the Cayley graph of <g_1, ..., g_d> from the
+    identity, setting f(x * g_j) = f(x) * f(g_j) along every edge; a conflict
+    with an earlier value, a reused image or a key mismatch rejects the
+    choice.  A map that respects every generator edge is a homomorphism, so a
+    complete map is a bijective, key-preserving isomorphism, and keys carry
+    the marked subgroup onto the marked subgroup.
     """
     m = first.size
     if m != second.size:
@@ -466,43 +477,43 @@ def find_isomorphism(first: AbstractGroup, second: AbstractGroup) -> Optional[tu
     table_a, table_b = first.table, second.table
     gens = _generating_sequence(first)
 
-    def extend(fmap: dict, rmap: dict, gen: int, img: int):
-        fmap, rmap = dict(fmap), dict(rmap)
-        queue = [(gen, img)]
-        while queue:
-            a, b = queue.pop()
-            known = fmap.get(a)
-            if known is not None:
-                if known != b:
+    def walk(images: list[int]) -> Optional[list[int]]:
+        """The map on <gens[:len(images)]> fixed by images, or None on a clash."""
+        edges = list(zip(gens, images))
+        fmap = [-1] * m
+        fmap[0] = 0
+        used = [False] * m
+        used[0] = True
+        queue = [0]
+        for x in queue:
+            row_a, row_b = table_a[x], table_b[fmap[x]]
+            for g, h in edges:
+                y, fy = row_a[g], row_b[h]
+                known = fmap[y]
+                if known < 0:
+                    if used[fy] or key_a[y] != key_b[fy]:
+                        return None
+                    fmap[y] = fy
+                    used[fy] = True
+                    queue.append(y)
+                elif known != fy:
                     return None
-                continue
-            if b in rmap or key_a[a] != key_b[b]:
-                return None
-            fmap[a] = b
-            rmap[b] = a
-            for x, y in list(fmap.items()):
-                queue.append((table_a[a][x], table_b[b][y]))
-                queue.append((table_a[x][a], table_b[y][b]))
-        return fmap, rmap
+        return fmap
 
-    def search(depth: int, fmap: dict, rmap: dict):
-        if len(fmap) == m:
+    def search(images: list[int], fmap: list[int]) -> Optional[list[int]]:
+        depth = len(images)
+        if depth == len(gens):
             return fmap
-        gen = gens[depth]
-        if gen in fmap:
-            return search(depth + 1, fmap, rmap)
-        for img in buckets[key_a[gen]]:
-            if img in rmap:
+        for img in buckets[key_a[gens[depth]]]:
+            if img in fmap:
                 continue
-            extended = extend(fmap, rmap, gen, img)
-            if extended is None:
-                continue
-            found = search(depth + 1, *extended)
+            images.append(img)
+            extended = walk(images)
+            found = search(images, extended) if extended is not None else None
+            images.pop()
             if found is not None:
                 return found
         return None
 
-    fmap = search(0, {0: 0}, {0: 0})
-    if fmap is None:
-        return None
-    return tuple(fmap[i] for i in range(m))
+    fmap = search([], walk([]))
+    return None if fmap is None else tuple(fmap)

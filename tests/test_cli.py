@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from holgal.cli import main
 from holgal.criteria import RECORD_COLUMNS
 
@@ -77,6 +79,13 @@ class TestClassify:
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         assert run(["classify", 2, 2, "--out", tmp_path / "missing" / "x.jsonl"]) == 3
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_exits_2(self, jobs, tmp_path, capsys):
+        out = tmp_path / "records.jsonl"
+        assert run(["classify", 2, 2, "--jobs", jobs, "--out", out]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_bound(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setenv("HOLGAL_MAX_ORDER", "16")
