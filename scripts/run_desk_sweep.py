@@ -2,8 +2,9 @@
 """Run the full desk-scale sweep: classify + verify every standard context.
 
 Writes classification tables and manifests into results/ and prints one
-summary line per context.  Pass --stretch to add the |Hol| = 512 and
-p^e = 25 contexts (a few extra minutes).
+summary line per context.  Pass --stretch to add (2,5), (5,2) and (3,3),
+where |Hol| is 512, 500 and 486 (a few extra minutes).  Runs from a
+checkout without installing: the checkout's src/ goes on the import path.
 """
 
 import argparse
@@ -11,7 +12,9 @@ import sys
 import time
 from pathlib import Path
 
-from holgal.cli import main as holgal_main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from holgal.cli import main as holgal_main  # noqa: E402
 
 STANDARD = [(2, 2), (2, 3), (2, 4), (3, 2)]
 STRETCH = [(2, 5), (5, 2), (3, 3)]

@@ -43,6 +43,7 @@ from .subgroups import (
     core,
     derived_subgroup,
     find_isomorphism,
+    generators,
     hall_p_part,
     holomorph_group,
     is_cyclic,

@@ -4,7 +4,15 @@ Subgroups are canonical sorted tuples of (u, a) pairs inside one context.
 Enumeration of the full subgroup lattice works bottom-up: seed with every
 cyclic subgroup, then repeatedly attach a prime-order coset on top of a
 normalized subgroup.  Every subgroup of the (solvable) holomorph sits above
-a normal subgroup of prime index, so the sweep reaches everything.
+a normal subgroup of prime index, so the sweep reaches everything.  The
+smaller subgroup has prime index in each such extension, so any of the
+extension's new elements would rebuild it: each one is built once per
+(subgroup, prime), and its elements are skipped afterwards.
+
+Normality, conjugacy and the derived subgroup are decided from the greedy
+generating sets of `generators` instead of from every element: conjugation
+is checked on generators only, and [G, G] is closed from the commutators of
+pairs of generators.
 """
 
 from __future__ import annotations
@@ -154,8 +162,11 @@ def _all_subgroup_sets(ctx: GroupContext) -> tuple[frozenset[HolElement], ...]:
                 if (total // size) % q:
                     continue
                 gq = qth_power[q]
+                # sub has index q in every extension, so each element of
+                # bigger outside sub generates the same bigger again
+                covered = set(sub)
                 for g in hol:
-                    if g in sub or gq[g] not in sub:
+                    if g in covered or gq[g] not in sub:
                         continue
                     gi = inv_of[g]
                     if any(fmul(fmul(g, s), gi) not in sub for s in sub):
@@ -167,7 +178,12 @@ def _all_subgroup_sets(ctx: GroupContext) -> tuple[frozenset[HolElement], ...]:
                     for _ in range(1, q):
                         bigger.update(fmul(x, s) for s in sub)
                         x = fmul(x, g)
-                    assert len(bigger) == size * q
+                    if len(bigger) != size * q:
+                        raise RuntimeError(
+                            f"extension of a subgroup of order {size} by an element of "
+                            f"prime order {q} modulo it has {len(bigger)} elements"
+                        )
+                    covered |= bigger
                     by_size[size * q].add(frozenset(bigger))
 
     every = [s for bucket in by_size.values() for s in bucket]
@@ -213,6 +229,25 @@ def translation_part(group: Subgroup) -> Subgroup:
     return _subgroup(group.ctx, (g for g in group.elements if g[1] == 1))
 
 
+@lru_cache(maxsize=None)
+def generators(group: Subgroup) -> tuple[HolElement, ...]:
+    """A generating set: scanning from the largest element down, keep each
+    element outside the closure of those kept so far.
+
+    Every kept element at least doubles that closure, so there are at most
+    log2 |group| of them; the trivial group has none.
+    """
+    gens: list[HolElement] = []
+    span = trivial_subgroup(group.ctx)
+    for g in reversed(group.elements):
+        if len(span) == len(group):
+            break
+        if g not in span:
+            gens.append(g)
+            span = closure(gens, group.ctx)
+    return tuple(gens)
+
+
 def _conjugate_set(group_elems: Iterable[HolElement], g: HolElement, ctx: GroupContext) -> frozenset[HolElement]:
     n = ctx.n
     u, a = g
@@ -240,11 +275,18 @@ def core(big: Subgroup, sub: Subgroup) -> Subgroup:
 
 @lru_cache(maxsize=None)
 def is_normal(big: Subgroup, sub: Subgroup) -> bool:
+    """True iff every generator of big conjugates every generator of sub into sub.
+
+    Conjugation by g is then a map of sub into itself, hence onto it, and
+    the elements g with g sub g^-1 = sub form a subgroup, which contains
+    the generators of big and so all of big.
+    """
     ctx = _check_same_ctx(big, sub)
     if not sub.issubset(big):
         raise ValueError("is_normal requires sub <= big")
     members = sub.member_set
-    return all(_conjugate_set(sub.elements, g, ctx) == members for g in big.elements)
+    sub_gens = generators(sub)
+    return all(_conjugate_set(sub_gens, g, ctx) <= members for g in generators(big))
 
 
 @lru_cache(maxsize=None)
@@ -254,7 +296,12 @@ def _order_profile(group: Subgroup) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def are_conjugate(big: Subgroup, first: Subgroup, second: Subgroup) -> bool:
-    """True iff some element of big conjugates first onto second."""
+    """True iff some element of big conjugates first onto second.
+
+    After the size and element-order checks, an element g of big qualifies
+    iff it conjugates every generator of first into second: g first g^-1 is
+    then a subgroup of second of the same size.
+    """
     ctx = _check_same_ctx(big, first, second)
     if not (first.issubset(big) and second.issubset(big)):
         raise ValueError("are_conjugate requires both subgroups inside big")
@@ -263,7 +310,8 @@ def are_conjugate(big: Subgroup, first: Subgroup, second: Subgroup) -> bool:
     if _order_profile(first) != _order_profile(second):
         return False
     target = second.member_set
-    return any(_conjugate_set(first.elements, g, ctx) == target for g in big.elements)
+    first_gens = generators(first)
+    return any(_conjugate_set(first_gens, g, ctx) <= target for g in big.elements)
 
 
 @lru_cache(maxsize=None)
@@ -281,14 +329,17 @@ def centralizer(group: Subgroup, g: HolElement) -> Subgroup:
 
 @lru_cache(maxsize=None)
 def derived_subgroup(group: Subgroup) -> Subgroup:
-    """Subgroup generated by all commutators (always inside the translations)."""
+    """Subgroup generated by all commutators (always inside the translations).
+
+    Only commutators of pairs of generators are taken.  They generate a
+    subgroup of the cyclic translation group, whose subgroups are all
+    characteristic, so it is normal in Hol and hence already equals the
+    normal closure of those commutators, which is [G, G].
+    """
     ctx = group.ctx
     n = ctx.n
-    shifts = {
-        (u * (b - 1) - v * (a - 1)) % n
-        for u, a in group.elements
-        for v, b in group.elements
-    }
+    gens = generators(group)
+    shifts = {(u * (b - 1) - v * (a - 1)) % n for u, a in gens for v, b in gens}
     return closure([(w, 1) for w in shifts], ctx)
 
 

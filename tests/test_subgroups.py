@@ -14,6 +14,7 @@ from holgal import (
     core,
     derived_subgroup,
     find_isomorphism,
+    generators,
     hall_p_part,
     holomorph_group,
     is_cyclic,
@@ -29,12 +30,15 @@ from holgal import (
 )
 from holgal.criteria import transitive_pairs
 from holgal.oracle import abstract_group, transitive_subgroups_of_order
+from holgal.subgroups import _conjugate_set
 from holgal.verify import isomorphic_bruteforce
 
 C22 = make_context(2, 2)
 C23 = make_context(2, 3)
 C32 = make_context(3, 2)
 C24 = make_context(2, 4)
+C33 = make_context(3, 3)
+C52 = make_context(5, 2)
 
 KLEIN_ELEMENTS = ((0, 1), (1, 3), (2, 1), (3, 3))
 
@@ -132,7 +136,9 @@ class TestEnumeration:
             all_subgroups(C23)
         assert len(all_subgroups(C22)) == 10
 
-    @pytest.mark.parametrize("ctx", [C22, C23, C32])
+    # (5,1) and (7,1) have |Hol| = 20 and 42 = 2*3*7, so one subgroup is
+    # extended by several primes
+    @pytest.mark.parametrize("ctx", [C22, C23, C32, make_context(5, 1), make_context(7, 1)])
     def test_matches_naive_saturation(self, ctx):
         # independent enumeration: extend every subgroup by every outside
         # element and close, with no normality or prime-index shortcuts
@@ -259,6 +265,31 @@ class TestCenterAndDerived:
     def test_is_cyclic(self):
         assert is_cyclic(closure([(1, 1)], C23))
         assert not is_cyclic(closure(KLEIN_ELEMENTS, C22))
+
+
+class TestGeneratorQueries:
+    """The generator-based queries against their element-wise definitions."""
+
+    @pytest.mark.parametrize("ctx", [C24, C33, C52])
+    def test_generators_generate(self, ctx):
+        for sub in all_subgroups(ctx):
+            assert closure(generators(sub), ctx) == sub
+        assert generators(trivial_subgroup(ctx)) == ()
+
+    @pytest.mark.parametrize("ctx", [C24, C33, C52])
+    def test_derived_subgroup_matches_all_commutators(self, ctx):
+        n = ctx.n
+        for sub in all_subgroups(ctx):
+            shifts = {(u * (b - 1) - v * (a - 1)) % n for u, a in sub for v, b in sub}
+            assert derived_subgroup(sub) == closure([(w, 1) for w in shifts], ctx)
+
+    @pytest.mark.parametrize("ctx", [C24, C33])
+    def test_normal_and_conjugate_match_every_conjugate(self, ctx):
+        for _, big, _, sub in transitive_pairs(ctx):
+            conjugates = [_conjugate_set(sub.elements, g, ctx) for g in big]
+            assert is_normal(big, sub) == all(c == sub.member_set for c in conjugates)
+            stab = stabilizer(big).member_set
+            assert are_conjugate(big, sub, stabilizer(big)) == (stab in conjugates)
 
 
 class TestHallPart:
