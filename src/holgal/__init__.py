@@ -40,6 +40,7 @@ from .subgroups import (
     center,
     centralizer,
     closure,
+    conjugates,
     core,
     derived_subgroup,
     find_isomorphism,

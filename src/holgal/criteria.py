@@ -218,8 +218,6 @@ class Verdict:
     h_order: int
     h_cap_n: int
     g_cap_n: int
-    z_order: int
-    derived_order: int
     s: int
     has_full_order_elem: bool
     h_normal: bool
@@ -286,8 +284,6 @@ def classify_pair(
         h_order=len(sub),
         h_cap_n=len(translation_part(sub)),
         g_cap_n=len(translation_part(big)),
-        z_order=len(center(big)),
-        derived_order=len(derived_subgroup(big)),
         s=int(padic_valuation(len(big), ctx.p)) - ctx.e,
         has_full_order_elem=has_full_order_element(big),
         h_normal=is_normal(big, sub),

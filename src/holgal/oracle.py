@@ -16,8 +16,8 @@ from .residue import GroupContext
 from .subgroups import (
     AbstractGroup,
     Subgroup,
-    _conjugate_set,
     all_subgroups,
+    conjugates,
     find_isomorphism,
     holomorph_group,
     is_regular,
@@ -60,8 +60,7 @@ def _transitive_models(ctx: GroupContext, conjugacy_reduced: bool):
             if sub.member_set in seen:
                 continue
             reduced.append((idx, sub))
-            for g in hol.elements:
-                seen.add(_conjugate_set(sub.elements, g, ctx))
+            seen |= conjugates(hol, sub)
         candidates = tuple(reduced)
     return tuple((idx, sub, abstract_group(sub)) for idx, sub in candidates)
 

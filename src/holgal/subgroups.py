@@ -9,10 +9,13 @@ smaller subgroup has prime index in each such extension, so any of the
 extension's new elements would rebuild it: each one is built once per
 (subgroup, prime), and its elements are skipped afterwards.
 
-Normality, conjugacy and the derived subgroup are decided from the greedy
-generating sets of `generators` instead of from every element: conjugation
-is checked on generators only, and [G, G] is closed from the commutators of
-pairs of generators.
+Normality, conjugacy, cores, conjugacy orbits and the derived subgroup are
+decided from the greedy generating sets of `generators` instead of from
+every element of G: normality and conjugacy check the generators of H; a
+core is the fixed point of intersecting H with its conjugates by the
+generators of G; orbits are walked breadth-first along those generators;
+conjugacy tries one element per left coset of H; and [G, G] is closed from
+the commutators of pairs of generators.
 """
 
 from __future__ import annotations
@@ -261,14 +264,25 @@ def _conjugate_set(group_elems: Iterable[HolElement], g: HolElement, ctx: GroupC
 
 @lru_cache(maxsize=None)
 def core(big: Subgroup, sub: Subgroup) -> Subgroup:
-    """Largest normal subgroup of big inside sub: meet of all conjugates."""
+    """Largest normal subgroup of big inside sub: meet of all conjugates.
+
+    Starting from K = sub, K is replaced by its meet with g K g^-1 over
+    every generator g of big until it stops shrinking.  Every K contains the
+    core, which is normal and so lies in each conjugate of K.  A stable K
+    lies in each g K g^-1, which has its size, so every generator of big
+    normalizes K; then K is a normal subgroup of big inside sub, hence
+    inside the core, and the two are equal.
+    """
     ctx = _check_same_ctx(big, sub)
     if not sub.issubset(big):
         raise ValueError("core requires sub <= big")
+    gens = generators(big)
     meet = set(sub.member_set)
-    for g in big.elements:
-        meet &= _conjugate_set(sub.elements, g, ctx)
-        if len(meet) == 1:
+    while len(meet) > 1:
+        current = tuple(meet)
+        for g in gens:
+            meet &= _conjugate_set(current, g, ctx)
+        if len(meet) == len(current):
             break
     return _subgroup(ctx, meet)
 
@@ -300,7 +314,9 @@ def are_conjugate(big: Subgroup, first: Subgroup, second: Subgroup) -> bool:
 
     After the size and element-order checks, an element g of big qualifies
     iff it conjugates every generator of first into second: g first g^-1 is
-    then a subgroup of second of the same size.
+    then a subgroup of second of the same size.  Every element g h of the
+    left coset g first conjugates first exactly as g does, so one g is tried
+    per left coset: [big : first] trials instead of |big|.
     """
     ctx = _check_same_ctx(big, first, second)
     if not (first.issubset(big) and second.issubset(big)):
@@ -309,9 +325,38 @@ def are_conjugate(big: Subgroup, first: Subgroup, second: Subgroup) -> bool:
         return False
     if _order_profile(first) != _order_profile(second):
         return False
+    n = ctx.n
     target = second.member_set
     first_gens = generators(first)
-    return any(_conjugate_set(first_gens, g, ctx) <= target for g in big.elements)
+    covered: set[HolElement] = set()
+    for g in big.elements:
+        if g in covered:
+            continue
+        if _conjugate_set(first_gens, g, ctx) <= target:
+            return True
+        u, a = g
+        covered.update(((u + v * a) % n, a * b % n) for v, b in first.elements)
+    return False
+
+
+def conjugates(big: Subgroup, sub: Subgroup) -> frozenset[frozenset[HolElement]]:
+    """Member sets of the conjugates g sub g^-1 over every g in big.
+
+    Found breadth-first from sub under conjugation by the generators of big:
+    the set reached is closed under conjugation by each generator, hence by
+    every product of generators, which in a finite group is every element.
+    """
+    ctx = _check_same_ctx(big, sub)
+    gens = generators(big)
+    orbit = {sub.member_set}
+    frontier = [sub.member_set]
+    for members in frontier:  # frontier grows while it is walked
+        for g in gens:
+            image = _conjugate_set(members, g, ctx)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return frozenset(orbit)
 
 
 @lru_cache(maxsize=None)

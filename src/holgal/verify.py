@@ -31,6 +31,7 @@ from .oracle import (
     regular_catalog,
     regular_subgroups,
     transitive_subgroups,
+    transitive_subgroups_of_order,
 )
 from .residue import (
     GroupContext,
@@ -42,11 +43,11 @@ from .residue import (
 from .subgroups import (
     AbstractGroup,
     Subgroup,
-    _conjugate_set,
     all_subgroups,
     are_conjugate,
     center,
     centralizer,
+    conjugates,
     core,
     derived_subgroup,
     find_isomorphism,
@@ -282,7 +283,7 @@ def check_iso_bruteforce(ctx: GroupContext, size_cap: int = 12, sample_cap: int 
         pair = quotient(big, nucleus, sub)
         if pair.size > size_cap:
             continue
-        for model in transitive_subgroups_of_order_models(ctx, pair.size):
+        for model in map(abstract_group, transitive_subgroups_of_order(ctx, pair.size)):
             fast = find_isomorphism(pair, model) is not None
             slow = isomorphic_bruteforce(pair, model)
             if fast != slow:
@@ -294,12 +295,6 @@ def check_iso_bruteforce(ctx: GroupContext, size_cap: int = 12, sample_cap: int 
             if compared >= sample_cap:
                 return CheckResult("isomorphism search vs brute force", True, f"{compared} pairs")
     return CheckResult("isomorphism search vs brute force", True, f"{compared} pairs")
-
-
-def transitive_subgroups_of_order_models(ctx: GroupContext, order: int) -> list[AbstractGroup]:
-    return [
-        abstract_group(sub) for _, sub in transitive_subgroups(ctx) if len(sub) == order
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +323,8 @@ def check_oracle_conjugation(ctx: GroupContext) -> CheckResult:
         # conjugacy classes among the candidate subgroups
         index_of = {sub.member_set: hi for hi, sub in subs}
         for hi, sub in subs:
-            for g in big.elements:
-                other = index_of[_conjugate_set(sub.elements, g, ctx)]
+            for image in conjugates(big, sub):
+                other = index_of[image]
                 if answers[hi] != answers[other]:
                     return CheckResult(
                         "oracle constant on conjugacy classes", False,
@@ -587,6 +582,7 @@ def check_hall_properties(ctx: GroupContext) -> list[CheckResult]:
     p = ctx.p
     for big in subs:
         inside = [s for s in subs if s.issubset(big)]
+        big_hall = hall_p_part(big)
         p_power_indexed = []
         for sub in inside:
             index = len(big) // len(sub)
@@ -595,15 +591,15 @@ def check_hall_properties(ctx: GroupContext) -> list[CheckResult]:
                 q //= p
             if q != 1:
                 continue
-            p_power_indexed.append(sub)
-            big_hall, sub_hall = hall_p_part(big), hall_p_part(sub)
+            sub_hall = hall_p_part(sub)
+            p_power_indexed.append((sub, sub_hall))
             if index_fail is None and len(big_hall) * len(sub) != len(sub_hall) * len(big):
                 index_fail = f"|G|={len(big)} |H|={len(sub)}"
         if transfer_fail is None:
-            for i, first in enumerate(p_power_indexed):
-                for second in p_power_indexed[i + 1 :]:
+            for i, (first, first_hall) in enumerate(p_power_indexed):
+                for second, second_hall in p_power_indexed[i + 1 :]:
                     lhs = are_conjugate(big, first, second)
-                    rhs = are_conjugate(big, hall_p_part(first), hall_p_part(second))
+                    rhs = are_conjugate(big, first_hall, second_hall)
                     if lhs != rhs:
                         transfer_fail = f"|G|={len(big)} |H1|={len(first)} |H2|={len(second)}"
                         break

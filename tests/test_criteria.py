@@ -170,7 +170,6 @@ class TestClassifyPair:
         verdict = classify_pair(C22, gi, hol, hi, half)
         assert verdict.g_order == 8 and verdict.h_order == 2
         assert verdict.g_cap_n == 4 and verdict.h_cap_n == 2
-        assert verdict.z_order == 2 and verdict.derived_order == 2
         assert verdict.s == 1
         assert verdict.has_full_order_elem and verdict.h_normal
         assert verdict.case == CASE_ADMITS

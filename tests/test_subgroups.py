@@ -11,6 +11,7 @@ from holgal import (
     are_conjugate,
     center,
     closure,
+    conjugates,
     core,
     derived_subgroup,
     find_isomorphism,
@@ -53,6 +54,11 @@ def assert_is_isomorphism(mapping, first, second):
         for j in range(first.size):
             assert mapping[first.table[i][j]] == second.table[mapping[i]][mapping[j]]
     assert {mapping[i] for i in first.marked} == set(second.marked)
+
+
+def elementwise_orbit(big, sub):
+    """Member sets of g sub g^-1 for every element g of big, one by one."""
+    return {_conjugate_set(sub.elements, g, big.ctx) for g in big}
 
 
 def table_of(elements, mul) -> AbstractGroup:
@@ -286,10 +292,39 @@ class TestGeneratorQueries:
     @pytest.mark.parametrize("ctx", [C24, C33])
     def test_normal_and_conjugate_match_every_conjugate(self, ctx):
         for _, big, _, sub in transitive_pairs(ctx):
-            conjugates = [_conjugate_set(sub.elements, g, ctx) for g in big]
-            assert is_normal(big, sub) == all(c == sub.member_set for c in conjugates)
+            orbit = elementwise_orbit(big, sub)
+            assert is_normal(big, sub) == (orbit == {sub.member_set})
             stab = stabilizer(big).member_set
-            assert are_conjugate(big, sub, stabilizer(big)) == (stab in conjugates)
+            assert are_conjugate(big, sub, stabilizer(big)) == (stab in orbit)
+
+    @pytest.mark.parametrize("ctx", [C24, C33, C52])
+    def test_core_is_meet_of_every_conjugate(self, ctx):
+        subs = all_subgroups(ctx)
+        for big in subs:
+            for sub in subs:
+                if sub.issubset(big):
+                    meet = frozenset.intersection(*elementwise_orbit(big, sub))
+                    assert core(big, sub).member_set == meet
+
+    @pytest.mark.parametrize("ctx", [C23, C32])
+    def test_are_conjugate_matches_scan_over_big(self, ctx):
+        subs = all_subgroups(ctx)
+        for big in subs:
+            inside = [s for s in subs if s.issubset(big)]
+            for first in inside:
+                orbit = elementwise_orbit(big, first)
+                for second in inside:
+                    if len(second) == len(first):
+                        expected = second.member_set in orbit
+                        assert are_conjugate(big, first, second) == expected
+
+    @pytest.mark.parametrize("ctx", [C24, C33])
+    def test_conjugates_is_the_orbit_under_every_element(self, ctx):
+        subs = all_subgroups(ctx)
+        for big in subs:
+            for sub in subs:
+                if sub.issubset(big):
+                    assert conjugates(big, sub) == elementwise_orbit(big, sub)
 
 
 class TestHallPart:
