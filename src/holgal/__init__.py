@@ -53,7 +53,6 @@ from .subgroups import (
     is_transitive,
     quotient,
     quotient_cosets,
-    resolve_max_order,
     stabilizer,
     translation_part,
     trivial_subgroup,

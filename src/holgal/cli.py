@@ -25,11 +25,11 @@ from .subgroups import (
     core,
     is_transitive,
     quotient,
-    set_max_order_override,
 )
 from .verify import run_checks
 
 SCHEMA_VERSION = "v1"
+DEFAULT_MAX_ORDER = 512
 
 
 def _csv_cell(value) -> str:
@@ -54,8 +54,8 @@ def _write_records(path: Path, fmt: str, verdicts: list[Verdict]) -> None:
                 writer.writerow([_csv_cell(record[col]) for col in RECORD_COLUMNS])
 
 
-def _write_manifest(path: Path, ctx, max_order: Optional[int]) -> None:
-    subs = all_subgroups(ctx, max_order)
+def _write_manifest(path: Path, ctx) -> None:
+    subs = all_subgroups(ctx)
     manifest = {
         "schema": SCHEMA_VERSION,
         "p": ctx.p,
@@ -76,30 +76,34 @@ def _write_manifest(path: Path, ctx, max_order: Optional[int]) -> None:
         handle.write("\n")
 
 
+def _bounded_context(args):
+    """The context of args.p, args.e, after checking |Hol| against --max-order."""
+    ctx = make_context(args.p, args.e)
+    all_subgroups(ctx, args.max_order)
+    return ctx
+
+
 def _classify_chunk(args) -> list[Verdict]:
-    p, e, max_order, run_oracle, lo, hi = args
-    set_max_order_override(max_order)
+    p, e, run_oracle, lo, hi = args
     ctx = make_context(p, e)
-    pairs = transitive_pairs(ctx, max_order)
     return [
         classify_pair(ctx, gi, big, hi_, sub, run_oracle=run_oracle)
-        for gi, big, hi_, sub in pairs[lo:hi]
+        for gi, big, hi_, sub in transitive_pairs(ctx)[lo:hi]
     ]
 
 
 def cmd_classify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    set_max_order_override(args.max_order)
-    ctx = make_context(args.p, args.e)
-    max_order = args.max_order
-    pairs = transitive_pairs(ctx, max_order)
+    ctx = _bounded_context(args)
+    # called as _classify_chunk calls it, so forked workers hit the same cache entry
+    pairs = transitive_pairs(ctx)
     run_oracle = not args.criteria_only
 
     if args.jobs > 1 and len(pairs) > 1:
         step = -(-len(pairs) // args.jobs)
         chunks = [
-            (args.p, args.e, max_order, run_oracle, lo, min(lo + step, len(pairs)))
+            (args.p, args.e, run_oracle, lo, min(lo + step, len(pairs)))
             for lo in range(0, len(pairs), step)
         ]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -113,7 +117,7 @@ def cmd_classify(args) -> int:
     fmt = args.format
     out = Path(args.out) if args.out else Path(f"holgal_classify_p{args.p}e{args.e}." + ("jsonl" if fmt == "json" else "csv"))
     _write_records(out, fmt, verdicts)
-    _write_manifest(Path(str(out) + ".manifest.json"), ctx, max_order)
+    _write_manifest(Path(str(out) + ".manifest.json"), ctx)
 
     tallies: dict[str, int] = {}
     for verdict in verdicts:
@@ -132,10 +136,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    set_max_order_override(args.max_order)
-    ctx = make_context(args.p, args.e)
-    # touch the lattice first so capacity errors surface before any output
-    all_subgroups(ctx, args.max_order)
+    ctx = _bounded_context(args)
     results = run_checks(ctx)
     for result in results:
         print(result.line())
@@ -156,9 +157,8 @@ def _parse_generators(text: str, ctx) -> list:
 
 
 def cmd_probe(args) -> int:
-    set_max_order_override(args.max_order)
-    ctx = make_context(args.p, args.e)
-    subs = all_subgroups(ctx, args.max_order)
+    ctx = _bounded_context(args)
+    subs = all_subgroups(ctx)
     big = closure(_parse_generators(args.G, ctx), ctx)
     sub = closure(_parse_generators(args.H, ctx), ctx)
     if not sub.issubset(big):
@@ -208,13 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--format", choices=("json", "csv"), default="json")
     classify.add_argument("--criteria-only", action="store_true", help="skip the oracle")
     classify.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    classify.add_argument("--max-order", type=int, default=None, help="enumeration bound override")
     classify.set_defaults(func=cmd_classify)
 
     verify = sub.add_parser("verify", help="run the structural property suite")
     verify.add_argument("p", type=int)
     verify.add_argument("e", type=int)
-    verify.add_argument("--max-order", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 
     probe = sub.add_parser("probe", help="classify one pair given by generators")
@@ -222,9 +220,15 @@ def build_parser() -> argparse.ArgumentParser:
     probe.add_argument("e", type=int)
     probe.add_argument("--G", required=True, help='generators "[u,a];[u,a];..."')
     probe.add_argument("--H", required=True, help='generators "[u,a];[u,a];..."')
-    probe.add_argument("--max-order", type=int, default=None)
     probe.set_defaults(func=cmd_probe)
 
+    for command in (classify, verify, probe):
+        command.add_argument(
+            "--max-order",
+            type=int,
+            default=DEFAULT_MAX_ORDER,
+            help="largest |Hol| to enumerate (default %(default)s)",
+        )
     return parser
 
 
@@ -233,7 +237,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc} (raise it with --max-order)", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ verify suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional
 
@@ -229,31 +229,10 @@ class Verdict:
 
     def record(self) -> dict:
         """Flat emission record (the JSON-lines / CSV row)."""
-        return {
-            "p": self.p,
-            "e": self.e,
-            "g_index": self.g_index,
-            "h_index": self.h_index,
-            "g_order": self.g_order,
-            "h_order": self.h_order,
-            "h_cap_n": self.h_cap_n,
-            "g_cap_n": self.g_cap_n,
-            "s": self.s,
-            "has_full_order_elem": self.has_full_order_elem,
-            "h_normal": self.h_normal,
-            "h_conj_stab": self.h_conj_stab,
-            "case": self.case,
-            "oracle": self.oracle,
-            "criteria": self.criteria,
-            "agree": self.agree,
-        }
+        return {name: getattr(self, name) for name in RECORD_COLUMNS}
 
 
-RECORD_COLUMNS = (
-    "p", "e", "g_index", "h_index", "g_order", "h_order", "h_cap_n", "g_cap_n",
-    "s", "has_full_order_elem", "h_normal", "h_conj_stab", "case", "oracle",
-    "criteria", "agree",
-)
+RECORD_COLUMNS = tuple(f.name for f in fields(Verdict))
 
 
 def classify_pair(
@@ -295,9 +274,10 @@ def classify_pair(
     )
 
 
+@lru_cache(maxsize=None)
 def transitive_pairs(
     ctx: GroupContext, max_order: Optional[int] = None
-) -> list[tuple[int, Subgroup, int, Subgroup]]:
+) -> tuple[tuple[int, Subgroup, int, Subgroup], ...]:
     """All (g_index, G, h_index, H) with G transitive and [G : H] = n."""
     subs = all_subgroups(ctx, max_order)
     out = []
@@ -308,4 +288,4 @@ def transitive_pairs(
         for hi, sub in enumerate(subs):
             if len(sub.elements) == h_order and sub.member_set <= big.member_set:
                 out.append((gi, big, hi, sub))
-    return out
+    return tuple(out)

@@ -20,7 +20,6 @@ the commutators of pairs of generators.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -30,33 +29,9 @@ from typing import Iterable, Optional
 from .holomorph import IDENTITY, HolElement, commute, element_order, inv, power, validate_element
 from .residue import GroupContext
 
-DEFAULT_MAX_ORDER = 512
-MAX_ORDER_ENV = "HOLGAL_MAX_ORDER"
-
 
 class CapacityError(RuntimeError):
-    """|Hol| exceeds the configured enumeration bound."""
-
-
-_max_order_override: Optional[int] = None
-
-
-def set_max_order_override(value: Optional[int]) -> None:
-    """Process-wide bound override, above the environment (used by CLI flags)."""
-    global _max_order_override
-    _max_order_override = value
-
-
-def resolve_max_order(override: Optional[int] = None) -> int:
-    """Enumeration bound: call argument > CLI override > HOLGAL_MAX_ORDER > 512."""
-    if override is not None:
-        return override
-    if _max_order_override is not None:
-        return _max_order_override
-    env = os.environ.get(MAX_ORDER_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_ORDER
+    """|Hol| exceeds the enumeration bound a caller passed."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +112,7 @@ def _prime_factors(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _all_subgroup_sets(ctx: GroupContext) -> tuple[frozenset[HolElement], ...]:
+def _lattice(ctx: GroupContext) -> tuple[Subgroup, ...]:
     hol = holomorph_group(ctx).elements
     total = len(hol)
     n = ctx.n
@@ -189,25 +164,23 @@ def _all_subgroup_sets(ctx: GroupContext) -> tuple[frozenset[HolElement], ...]:
                     covered |= bigger
                     by_size[size * q].add(frozenset(bigger))
 
-    every = [s for bucket in by_size.values() for s in bucket]
-    return tuple(sorted(every, key=lambda s: (len(s), sorted(s))))
-
-
-@lru_cache(maxsize=None)
-def _all_subgroups_cached(ctx: GroupContext) -> tuple[Subgroup, ...]:
-    return tuple(_subgroup(ctx, s) for s in _all_subgroup_sets(ctx))
+    every = [_subgroup(ctx, s) for bucket in by_size.values() for s in bucket]
+    return tuple(sorted(every, key=lambda s: (len(s), s.elements)))
 
 
 def all_subgroups(ctx: GroupContext, max_order: Optional[int] = None) -> tuple[Subgroup, ...]:
-    """Every subgroup of Hol, each once, in canonical (order, elements) order."""
-    bound = resolve_max_order(max_order)
+    """Every subgroup of Hol, each once, in canonical (order, elements) order.
+
+    There is no bound unless the caller passes one: with `max_order` given,
+    CapacityError is raised before enumeration when |Hol| exceeds it.
+    """
     total = ctx.n * len(ctx.units)
-    if total > bound:
+    if max_order is not None and total > max_order:
         raise CapacityError(
             f"|Hol| = {total} for p={ctx.p}, e={ctx.e} exceeds the enumeration "
-            f"bound {bound} (override with --max-order or {MAX_ORDER_ENV})"
+            f"bound {max_order}"
         )
-    return _all_subgroups_cached(ctx)
+    return _lattice(ctx)
 
 
 @lru_cache(maxsize=None)

@@ -76,10 +76,6 @@ class CheckResult:
         return f"{tag} {self.name}{suffix}"
 
 
-def _fmt(g) -> str:
-    return format_element(g)
-
-
 # ---------------------------------------------------------------------------
 # Element-level formulas
 
@@ -94,7 +90,7 @@ def check_power_formula(ctx: GroupContext, kmax: Optional[int] = None) -> CheckR
             if power(g, k, ctx) != x:
                 return CheckResult(
                     "power formula vs iterated multiplication", False,
-                    f"g={_fmt(g)} k={k}: {power(g, k, ctx)} != {x}",
+                    f"g={format_element(g)} k={k}: {power(g, k, ctx)} != {x}",
                 )
             x = (x[0] + g[0] * x[1]) % n, (x[1] * g[1]) % n
     return CheckResult("power formula vs iterated multiplication", True)
@@ -107,7 +103,7 @@ def check_order_formula(ctx: GroupContext) -> CheckResult:
         if fast != slow:
             return CheckResult(
                 "closed-form order vs iterative order", False,
-                f"g={_fmt(g)}: closed form {fast}, iteration {slow}",
+                f"g={format_element(g)}: closed form {fast}, iteration {slow}",
             )
     return CheckResult("closed-form order vs iterative order", True)
 
@@ -163,7 +159,7 @@ def check_action_homomorphism(ctx: GroupContext) -> CheckResult:
                 if (w + c * x) % n != (u + a * ((v + b * x) % n)) % n:
                     return CheckResult(
                         "holomorph action is a group action", False,
-                        f"g={_fmt((u, a))} h={_fmt((v, b))} x={x}",
+                        f"g={format_element((u, a))} h={format_element((v, b))} x={x}",
                     )
     return CheckResult("holomorph action is a group action", True)
 
@@ -183,9 +179,9 @@ def check_commutator_identity(ctx: GroupContext) -> list[CheckResult]:
             inv_gh = (-gh[0] * ghi) % n, ghi
             got = (hg[0] + inv_gh[0] * hg[1]) % n, (hg[1] * inv_gh[1]) % n
             if comm_fail is None and got != (shift, 1):
-                comm_fail = f"g={_fmt((u, a))} h={_fmt((v, b))}: {got} != ({shift}, 1)"
+                comm_fail = f"g={format_element((u, a))} h={format_element((v, b))}: {got} != ({shift}, 1)"
             if cong_fail is None and (gh == hg) != (shift == 0):
-                cong_fail = f"g={_fmt((u, a))} h={_fmt((v, b))}"
+                cong_fail = f"g={format_element((u, a))} h={format_element((v, b))}"
     return [
         CheckResult("commutator translation identity", comm_fail is None, comm_fail or ""),
         CheckResult("commuting iff u(b-1) = v(a-1) mod n", cong_fail is None, cong_fail or ""),
@@ -396,7 +392,7 @@ def check_no_full_order_congruence(ctx: GroupContext) -> CheckResult:
             if (b - 1 - 2 * v) % 4:
                 return CheckResult(
                     "no-full-order congruence mod 4", False,
-                    f"G index {idx}, element {_fmt((v, b))}",
+                    f"G index {idx}, element {format_element((v, b))}",
                 )
         if any(a % 4 != 1 for _, a in stabilizer(sub).elements):
             return CheckResult(
@@ -461,13 +457,13 @@ def check_centralizer_sizes(ctx: GroupContext) -> CheckResult:
             if size > ctx.n:
                 return CheckResult(
                     "centralizer sizes", False,
-                    f"G index {idx}: |C({_fmt((u, a))})| = {size} > 2^e",
+                    f"G index {idx}: |C({format_element((u, a))})| = {size} > 2^e",
                 )
             noncong = any((u * (b - 1) + 2 * v) % modulus for v, b in sub.elements)
             if (size < ctx.n) != noncong:
                 return CheckResult(
                     "centralizer sizes", False,
-                    f"G index {idx}: strictness mismatch at {_fmt((u, a))}",
+                    f"G index {idx}: strictness mismatch at {format_element((u, a))}",
                 )
     return CheckResult("centralizer sizes", True)
 

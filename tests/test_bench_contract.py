@@ -1,0 +1,63 @@
+"""What the benchmark in perfbench/ needs from the package.
+
+The benchmark's files are loaded by path and never edited here. A rename in
+the package would otherwise surface only when the benchmark runs: as a
+failed set-up child, a workload command that does not parse, or a traced
+metric that silently reads 0.
+"""
+
+import importlib
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import holgal.verify
+from holgal.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load("bench_contract_run", BENCH / "run.py")
+tracer = _load("bench_contract_tracer", BENCH / "tracer.py")
+
+
+def test_setup_child_runs_on_the_checkout():
+    # contexts as "p,e,bound": the default, and a bound passed positionally
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", bench.SETUP_CODE, "2,3,", "3,2,64"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert Path(child.stdout.splitlines()[0]).resolve().is_relative_to(ROOT / "src")
+
+
+def test_workload_commands_parse():
+    for commands in bench.WORKLOADS.values():
+        for command in commands:
+            build_parser().parse_args(command.split())
+
+
+def test_every_traced_function_exists():
+    hooks = list(tracer._hooks(holgal.verify))
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in hooks
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert hooks and missing == []

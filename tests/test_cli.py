@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from holgal import all_subgroups, make_context
 from holgal.cli import main
 from holgal.criteria import RECORD_COLUMNS
 
@@ -87,11 +88,37 @@ class TestClassify:
         assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_env_bound(self, monkeypatch, capsys, tmp_path):
-        monkeypatch.setenv("HOLGAL_MAX_ORDER", "16")
+
+
+# the pair arguments probe needs; at (2, 3) they name a valid pair
+COMMAND_ARGS = {
+    "classify": [],
+    "verify": [],
+    "probe": ["--G", "[1,1];[0,3]", "--H", "[4,1]"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+class TestBound:
+    def test_default_bound_exits_before_output(self, command, monkeypatch, tmp_path, capsys):
         monkeypatch.chdir(tmp_path)
-        assert run(["classify", 2, 3]) == 2
-        assert run(["classify", 2, 3, "--max-order", "64"]) == 0
+        assert run([command, 2, 6, *COMMAND_ARGS[command]]) == 2
+        captured = capsys.readouterr()
+        assert "bound 512" in captured.err and "--max-order" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_flag_bound_is_inclusive(self, command, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        # |Hol(C_8)| = 32
+        assert run([command, 2, 3, *COMMAND_ARGS[command], "--max-order", 16]) == 2
+        assert "bound 16" in capsys.readouterr().err
+        assert run([command, 2, 3, *COMMAND_ARGS[command], "--max-order", 32]) == 0
+
+
+def test_bound_does_not_outlive_the_command(tmp_path):
+    assert run(["classify", 2, 2, "--max-order", 8, "--out", tmp_path / "r.jsonl"]) == 0
+    assert len(all_subgroups(make_context(2, 3))) > 0
 
 
 class TestDeterminism:

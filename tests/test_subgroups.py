@@ -132,15 +132,9 @@ class TestEnumeration:
 
     def test_capacity_bound(self):
         with pytest.raises(CapacityError):
-            all_subgroups(make_context(2, 6))
-        with pytest.raises(CapacityError):
             all_subgroups(C23, max_order=16)
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("HOLGAL_MAX_ORDER", "8")
-        with pytest.raises(CapacityError):
-            all_subgroups(C23)
-        assert len(all_subgroups(C22)) == 10
+        # the bound is inclusive: |Hol(C_8)| = 32
+        assert all_subgroups(C23, max_order=32) == all_subgroups(C23)
 
     # (5,1) and (7,1) have |Hol| = 20 and 42 = 2*3*7, so one subgroup is
     # extended by several primes
