@@ -8,6 +8,7 @@ the translation part and a the multiplier (a coprime to p).  The identity is
 from __future__ import annotations
 
 import re
+from typing import Iterable, Iterator
 
 from .residue import (
     GroupContext,
@@ -31,12 +32,29 @@ def validate_element(g: HolElement, ctx: GroupContext) -> None:
         raise ValueError(f"multiplier {a} is not a unit mod {ctx.n}")
 
 
+def compose(g: HolElement, h: HolElement, n: int) -> HolElement:
+    """Unchecked g*h mod n, where h acts first on points: (u,a)(v,b) = (u + v*a, a*b)."""
+    return (g[0] + h[0] * g[1]) % n, (g[1] * h[1]) % n
+
+
+def left_coset(g: HolElement, elems: Iterable[HolElement], n: int) -> list[HolElement]:
+    """Unchecked [g*s for s in elems], in order."""
+    u, a = g
+    return [((u + v * a) % n, (a * b) % n) for v, b in elems]
+
+
+def conjugate_each(elems: Iterable[HolElement], g: HolElement, n: int) -> Iterator[HolElement]:
+    """Unchecked g*s*g^-1 for s in elems, lazily.  Units commute, so no inverse
+    is needed: (u,a)(v,b)(u,a)^-1 = (u + v*a - b*u, b)."""
+    u, a = g
+    return (((u + v * a - b * u) % n, b) for v, b in elems)
+
+
 def mul(g: HolElement, h: HolElement, ctx: GroupContext) -> HolElement:
     """Product g*h, where h acts first on points: (u,a)(v,b) = (u + v*a, a*b)."""
     validate_element(g, ctx)
     validate_element(h, ctx)
-    n = ctx.n
-    return (g[0] + h[0] * g[1]) % n, (g[1] * h[1]) % n
+    return compose(g, h, ctx.n)
 
 
 def inv(g: HolElement, ctx: GroupContext) -> HolElement:
@@ -89,7 +107,7 @@ def element_order_iterative(g: HolElement, ctx: GroupContext) -> int:
     n = ctx.n
     x, t = g, 1
     while x != IDENTITY:
-        x = (x[0] + g[0] * x[1]) % n, (x[1] * g[1]) % n
+        x = compose(x, g, n)
         t += 1
     return t
 

@@ -1,13 +1,18 @@
 """Subgroup machinery over Hol(C_{p^e}).
 
 Subgroups are canonical sorted tuples of (u, a) pairs inside one context.
-Enumeration of the full subgroup lattice works bottom-up: seed with every
-cyclic subgroup, then repeatedly attach a prime-order coset on top of a
-normalized subgroup.  Every subgroup of the (solvable) holomorph sits above
-a normal subgroup of prime index, so the sweep reaches everything.  The
-smaller subgroup has prime index in each such extension, so any of the
-extension's new elements would rebuild it: each one is built once per
-(subgroup, prime), and its elements are skipped afterwards.
+Every product, left coset and conjugate here goes through the unchecked
+kernels of `holomorph` (`compose`, `left_coset`, `conjugate_each`), the
+only place that states the group law.
+
+Enumeration of the full subgroup lattice works bottom-up: start from the
+trivial subgroup, then repeatedly attach a prime-order coset on top of a
+normalized subgroup.  Every nontrivial subgroup of the (solvable) holomorph
+sits above a normal subgroup of prime index, so by induction on the order
+the sweep reaches everything.  The smaller subgroup has prime index in each
+such extension, so any of the extension's new elements would rebuild it:
+each one is built once per (subgroup, prime), and its elements are skipped
+afterwards.
 
 Normality, conjugacy, cores, conjugacy orbits and the derived subgroup are
 decided from the greedy generating sets of `generators` instead of from
@@ -26,7 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .holomorph import IDENTITY, HolElement, commute, element_order, inv, power, validate_element
+from .holomorph import (IDENTITY, HolElement, commutator, commute, compose, conjugate_each,
+                        element_order, left_coset, power, validate_element)
 from .residue import GroupContext
 
 
@@ -44,6 +50,14 @@ class Subgroup:
     @cached_property
     def member_set(self) -> frozenset[HolElement]:
         return frozenset(self.elements)
+
+    def __post_init__(self) -> None:
+        # every lru_cache lookup hashes its Subgroup arguments, so the hash is stored;
+        # set here, not lazily, so every instance's __dict__ has one key order
+        object.__setattr__(self, "_hash", hash((self.ctx, self.elements)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -82,8 +96,7 @@ def closure(gens: Iterable[HolElement], ctx: GroupContext) -> Subgroup:
     frontier = [IDENTITY]
     while frontier:
         x = frontier.pop()
-        for g in gens:
-            y = ((x[0] + g[0] * x[1]) % n, (x[1] * g[1]) % n)
+        for y in left_coset(x, gens, n):
             if y not in members:
                 members.add(y)
                 frontier.append(y)
@@ -116,22 +129,8 @@ def _lattice(ctx: GroupContext) -> tuple[Subgroup, ...]:
     hol = holomorph_group(ctx).elements
     total = len(hol)
     n = ctx.n
-
-    def fmul(g: HolElement, h: HolElement) -> HolElement:
-        return (g[0] + h[0] * g[1]) % n, (g[1] * h[1]) % n
-
-    inv_of = {g: inv(g, ctx) for g in hol}
-
     by_size: dict[int, set[frozenset[HolElement]]] = defaultdict(set)
     by_size[1].add(frozenset({IDENTITY}))
-    for g in hol:
-        cyc = {IDENTITY}
-        x = g
-        while x != IDENTITY:
-            cyc.add(x)
-            x = fmul(x, g)
-        by_size[len(cyc)].add(frozenset(cyc))
-
     primes = _prime_factors(total)
     qth_power = {q: {g: power(g, q, ctx) for g in hol} for q in primes}
     for size in sorted(d for d in range(1, total + 1) if total % d == 0):
@@ -146,16 +145,15 @@ def _lattice(ctx: GroupContext) -> tuple[Subgroup, ...]:
                 for g in hol:
                     if g in covered or gq[g] not in sub:
                         continue
-                    gi = inv_of[g]
-                    if any(fmul(fmul(g, s), gi) not in sub for s in sub):
+                    if not sub.issuperset(conjugate_each(sub, g, n)):
                         continue
                     # g normalizes sub and has image of order exactly q in
                     # the quotient, so the union of q cosets is a subgroup.
                     bigger = set(sub)
                     x = g
                     for _ in range(1, q):
-                        bigger.update(fmul(x, s) for s in sub)
-                        x = fmul(x, g)
+                        bigger.update(left_coset(x, sub, n))
+                        x = compose(x, g, n)
                     if len(bigger) != size * q:
                         raise RuntimeError(
                             f"extension of a subgroup of order {size} by an element of "
@@ -224,17 +222,6 @@ def generators(group: Subgroup) -> tuple[HolElement, ...]:
     return tuple(gens)
 
 
-def _conjugate_set(group_elems: Iterable[HolElement], g: HolElement, ctx: GroupContext) -> frozenset[HolElement]:
-    n = ctx.n
-    u, a = g
-    gi = inv(g, ctx)
-    w, c = gi
-    # g * s * g^-1 expanded once; cheaper than two mul calls per element
-    return frozenset(
-        ((u + v * a + w * (a * b % n)) % n, a * b * c % n) for v, b in group_elems
-    )
-
-
 @lru_cache(maxsize=None)
 def core(big: Subgroup, sub: Subgroup) -> Subgroup:
     """Largest normal subgroup of big inside sub: meet of all conjugates.
@@ -254,7 +241,7 @@ def core(big: Subgroup, sub: Subgroup) -> Subgroup:
     while len(meet) > 1:
         current = tuple(meet)
         for g in gens:
-            meet &= _conjugate_set(current, g, ctx)
+            meet.intersection_update(conjugate_each(current, g, ctx.n))
         if len(meet) == len(current):
             break
     return _subgroup(ctx, meet)
@@ -273,7 +260,7 @@ def is_normal(big: Subgroup, sub: Subgroup) -> bool:
         raise ValueError("is_normal requires sub <= big")
     members = sub.member_set
     sub_gens = generators(sub)
-    return all(_conjugate_set(sub_gens, g, ctx) <= members for g in generators(big))
+    return all(members.issuperset(conjugate_each(sub_gens, g, ctx.n)) for g in generators(big))
 
 
 @lru_cache(maxsize=None)
@@ -305,10 +292,9 @@ def are_conjugate(big: Subgroup, first: Subgroup, second: Subgroup) -> bool:
     for g in big.elements:
         if g in covered:
             continue
-        if _conjugate_set(first_gens, g, ctx) <= target:
+        if target.issuperset(conjugate_each(first_gens, g, n)):
             return True
-        u, a = g
-        covered.update(((u + v * a) % n, a * b % n) for v, b in first.elements)
+        covered.update(left_coset(g, first.elements, n))
     return False
 
 
@@ -325,7 +311,7 @@ def conjugates(big: Subgroup, sub: Subgroup) -> frozenset[frozenset[HolElement]]
     frontier = [sub.member_set]
     for members in frontier:  # frontier grows while it is walked
         for g in gens:
-            image = _conjugate_set(members, g, ctx)
+            image = frozenset(conjugate_each(members, g, ctx.n))
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
@@ -355,10 +341,8 @@ def derived_subgroup(group: Subgroup) -> Subgroup:
     normal closure of those commutators, which is [G, G].
     """
     ctx = group.ctx
-    n = ctx.n
     gens = generators(group)
-    shifts = {(u * (b - 1) - v * (a - 1)) % n for u, a in gens for v, b in gens}
-    return closure([(w, 1) for w in shifts], ctx)
+    return closure([commutator(g, h, ctx) for g in gens for h in gens], ctx)
 
 
 @lru_cache(maxsize=None)
@@ -460,10 +444,6 @@ def _coset_structure(big: Subgroup, normal: Subgroup):
     n = ctx.n
     if not is_normal(big, normal):
         raise ValueError("quotient requires a normal subgroup")
-
-    def fmul(g: HolElement, h: HolElement) -> HolElement:
-        return (g[0] + h[0] * g[1]) % n, (g[1] * h[1]) % n
-
     to_coset: dict[HolElement, int] = {}
     reps: list[HolElement] = []
     for g in big.elements:  # ascending, so the first hit in a coset is its minimum
@@ -471,9 +451,8 @@ def _coset_structure(big: Subgroup, normal: Subgroup):
             continue
         idx = len(reps)
         reps.append(g)
-        for c in normal.elements:
-            to_coset[fmul(g, c)] = idx
-    table = tuple(tuple(to_coset[fmul(a, b)] for b in reps) for a in reps)
+        to_coset.update(dict.fromkeys(left_coset(g, normal.elements, n), idx))
+    table = tuple(tuple(map(to_coset.__getitem__, left_coset(a, reps, n))) for a in reps)
     return tuple(reps), to_coset, table
 
 

@@ -18,6 +18,7 @@ from holgal import (
     parse_element,
     power,
 )
+from holgal.holomorph import compose, conjugate_each, left_coset
 
 CONTEXTS = [make_context(2, 2), make_context(2, 3), make_context(2, 4), make_context(3, 2)]
 
@@ -58,6 +59,33 @@ class TestMul:
             mul((4, 1), (0, 1), ctx)
         with pytest.raises(ValueError):
             mul((0, 2), (0, 1), ctx)
+
+
+class TestKernels:
+    """The unchecked kernels against the validated mul and inv, on every pair."""
+
+    @pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])
+    def test_compose_matches_mul(self, pe):
+        ctx = make_context(*pe)
+        elems = hol_elements(ctx)
+        for g in elems:
+            for s in elems:
+                assert compose(g, s, ctx.n) == mul(g, s, ctx)
+
+    @pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])
+    def test_left_coset_matches_mul(self, pe):
+        ctx = make_context(*pe)
+        elems = hol_elements(ctx)
+        for g in elems:
+            assert left_coset(g, elems, ctx.n) == [mul(g, s, ctx) for s in elems]
+
+    @pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])
+    def test_conjugate_each_matches_mul_and_inv(self, pe):
+        ctx = make_context(*pe)
+        elems = hol_elements(ctx)
+        for g in elems:
+            expected = [mul(mul(g, s, ctx), inv(g, ctx), ctx) for s in elems]
+            assert list(conjugate_each(elems, g, ctx.n)) == expected
 
 
 class TestInv:

@@ -18,11 +18,13 @@ from holgal import (
     generators,
     hall_p_part,
     holomorph_group,
+    inv,
     is_cyclic,
     is_normal,
     is_regular,
     is_transitive,
     make_context,
+    mul,
     quotient,
     quotient_cosets,
     stabilizer,
@@ -31,7 +33,6 @@ from holgal import (
 )
 from holgal.criteria import transitive_pairs
 from holgal.oracle import abstract_group, transitive_subgroups_of_order
-from holgal.subgroups import _conjugate_set
 from holgal.verify import isomorphic_bruteforce
 
 C22 = make_context(2, 2)
@@ -57,8 +58,14 @@ def assert_is_isomorphism(mapping, first, second):
 
 
 def elementwise_orbit(big, sub):
-    """Member sets of g sub g^-1 for every element g of big, one by one."""
-    return {_conjugate_set(sub.elements, g, big.ctx) for g in big}
+    """Member sets of g sub g^-1 for every element g of big, one by one,
+    from the validated mul and inv."""
+    ctx = big.ctx
+    orbit = set()
+    for g in big:
+        g_inv = inv(g, ctx)
+        orbit.add(frozenset(mul(mul(g, s, ctx), g_inv, ctx) for s in sub))
+    return orbit
 
 
 def table_of(elements, mul) -> AbstractGroup:
@@ -311,6 +318,14 @@ class TestGeneratorQueries:
                     if len(second) == len(first):
                         expected = second.member_set in orbit
                         assert are_conjugate(big, first, second) == expected
+
+    @pytest.mark.parametrize("ctx", [C24, C33])
+    def test_rebuilt_subgroup_equals_and_hashes_like_its_lattice_entry(self, ctx):
+        for sub in all_subgroups(ctx):
+            rebuilt = closure(sub.elements, ctx)
+            assert rebuilt is not sub
+            assert rebuilt == sub and hash(rebuilt) == hash(sub)
+            assert {rebuilt: True}[sub]
 
     @pytest.mark.parametrize("ctx", [C24, C33])
     def test_conjugates_is_the_orbit_under_every_element(self, ctx):
