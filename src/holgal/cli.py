@@ -109,10 +109,7 @@ def cmd_classify(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             verdicts = [v for chunk in pool.map(_classify_chunk, chunks) for v in chunk]
     else:
-        verdicts = [
-            classify_pair(ctx, gi, big, hi, sub, run_oracle=run_oracle)
-            for gi, big, hi, sub in pairs
-        ]
+        verdicts = _classify_chunk((args.p, args.e, run_oracle, 0, len(pairs)))
 
     fmt = args.format
     out = Path(args.out) if args.out else Path(f"holgal_classify_p{args.p}e{args.e}." + ("jsonl" if fmt == "json" else "csv"))
@@ -161,19 +158,6 @@ def cmd_probe(args) -> int:
     subs = all_subgroups(ctx)
     big = closure(_parse_generators(args.G, ctx), ctx)
     sub = closure(_parse_generators(args.H, ctx), ctx)
-    if not sub.issubset(big):
-        print("error: H is not contained in G", file=sys.stderr)
-        return 2
-    if not is_transitive(big):
-        print("error: G is not transitive", file=sys.stderr)
-        return 2
-    if len(sub) * ctx.n != len(big):
-        print(
-            f"error: H has index {len(big) // len(sub)} in G, need {ctx.n}",
-            file=sys.stderr,
-        )
-        return 2
-
     g_index, h_index = subs.index(big), subs.index(sub)
     verdict = classify_pair(ctx, g_index, big, h_index, sub)
     print(f"p={ctx.p} e={ctx.e} |Hol|={ctx.n * len(ctx.units)}")

@@ -54,7 +54,7 @@ def _check_pair(big: Subgroup, sub: Subgroup) -> GroupContext:
     if sub.ctx != ctx:
         raise ValueError("pair lives in different contexts")
     if not sub.issubset(big):
-        raise ValueError("H must be a subgroup of G")
+        raise ValueError("H is not contained in G")
     if not is_transitive(big):
         raise ValueError("G must be transitive")
     if len(sub) * ctx.n != len(big):

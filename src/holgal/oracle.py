@@ -2,8 +2,10 @@
 
 Given an abstract group with a marked subgroup, decide whether it is
 isomorphic to some transitive subgroup of Hol with the marked part carried
-exactly onto the point stabilizer.  Failure reports name the strongest
-pre-filter that fired, success reports carry a witness and the isomorphism.
+exactly onto the point stabilizer.  Hol-conjugate transitive subgroups give
+isomorphic marked pairs, so the search tries one model per Hol-conjugacy
+class.  Failure reports name the strongest pre-filter that fired, success
+reports carry a witness and the isomorphism.
 """
 
 from __future__ import annotations
@@ -46,23 +48,24 @@ def abstract_group(group: Subgroup) -> AbstractGroup:
 
 
 @lru_cache(maxsize=None)
-def _transitive_models(ctx: GroupContext, conjugacy_reduced: bool):
-    """(lattice index, subgroup, stabilizer-marked table) per candidate."""
-    candidates = transitive_subgroups(ctx)
-    if conjugacy_reduced:
-        # Conjugate transitive subgroups give isomorphic marked pairs (any
-        # point stabilizer is conjugate to the base one by transitivity),
-        # so one representative per Hol-conjugacy orbit preserves answers.
-        hol = holomorph_group(ctx)
-        seen: set[frozenset] = set()
-        reduced = []
-        for idx, sub in candidates:
-            if sub.member_set in seen:
-                continue
-            reduced.append((idx, sub))
+def _transitive_models(ctx: GroupContext):
+    """(lattice index, subgroup, stabilizer-marked table), one per Hol-class.
+
+    A Hol-conjugate of a transitive subgroup, marked at its point stabilizer,
+    is isomorphic to the original as a marked pair (any point stabilizer is
+    conjugate to the base one by transitivity), so one model per class
+    decides every pair.  Each class is kept as its first member in lattice
+    order; the lowest-indexed transitive subgroup isomorphic to a pair is
+    therefore always a kept model, and it is the witness the search reports.
+    """
+    hol = holomorph_group(ctx)
+    seen: set[frozenset] = set()
+    models = []
+    for idx, sub in transitive_subgroups(ctx):
+        if sub.member_set not in seen:
             seen |= conjugates(hol, sub)
-        candidates = tuple(reduced)
-    return tuple((idx, sub, abstract_group(sub)) for idx, sub in candidates)
+            models.append((idx, sub, abstract_group(sub)))
+    return tuple(models)
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class OracleReport:
 
 
 @lru_cache(maxsize=None)
-def _decide(pair: AbstractGroup, ctx: GroupContext, conjugacy_reduced: bool) -> OracleReport:
+def _decide(pair: AbstractGroup, ctx: GroupContext) -> OracleReport:
     size = pair.size
     if size % ctx.n != 0 or len(pair.marked) * ctx.n != size:
         return OracleReport(
@@ -85,7 +88,7 @@ def _decide(pair: AbstractGroup, ctx: GroupContext, conjugacy_reduced: bool) -> 
             reason=f"size incompatible: |group| = {size}, |marked| = {len(pair.marked)}, "
             f"need |group| = {ctx.n} * |marked|",
         )
-    models = [m for m in _transitive_models(ctx, conjugacy_reduced) if m[2].size == size]
+    models = [m for m in _transitive_models(ctx) if m[2].size == size]
     if not models:
         return OracleReport(
             admitted=False, reason=f"no transitive subgroup of order {size} exists"
@@ -112,18 +115,14 @@ def _decide(pair: AbstractGroup, ctx: GroupContext, conjugacy_reduced: bool) -> 
     )
 
 
-def oracle_decision(
-    pair: AbstractGroup, ctx: GroupContext, conjugacy_reduced: bool = False
-) -> OracleReport:
-    """Full report for one marked pair against all transitive subgroups."""
-    return _decide(pair, ctx, conjugacy_reduced)
+def oracle_decision(pair: AbstractGroup, ctx: GroupContext) -> OracleReport:
+    """Full report for one marked pair against the transitive models."""
+    return _decide(pair, ctx)
 
 
-def admits_transitive_embedding(
-    pair: AbstractGroup, ctx: GroupContext, conjugacy_reduced: bool = False
-) -> bool:
+def admits_transitive_embedding(pair: AbstractGroup, ctx: GroupContext) -> bool:
     """True iff the marked pair embeds as (transitive subgroup, stabilizer)."""
-    return _decide(pair, ctx, conjugacy_reduced).admitted
+    return _decide(pair, ctx).admitted
 
 
 # ---------------------------------------------------------------------------

@@ -516,9 +516,9 @@ def find_isomorphism(first: AbstractGroup, second: AbstractGroup) -> Optional[tu
     m = first.size
     if m != second.size:
         return None
-    key_a, key_b = first.element_keys, second.element_keys
-    if sorted(key_a) != sorted(key_b):
+    if first.profile != second.profile:
         return None
+    key_a, key_b = first.element_keys, second.element_keys
     buckets: dict[tuple, list[int]] = defaultdict(list)
     for j in range(m):
         buckets[key_b[j]].append(j)

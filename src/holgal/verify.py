@@ -330,12 +330,17 @@ def check_oracle_conjugation(ctx: GroupContext) -> CheckResult:
 
 
 def check_oracle_reduction(ctx: GroupContext) -> CheckResult:
-    """Restricting witnesses to conjugacy-class representatives preserves answers."""
+    """The oracle, which tries one model per Hol-conjugacy class, answers as a
+    scan of every transitive subgroup of the pair's order does."""
+    models = [abstract_group(sub) for _, sub in transitive_subgroups(ctx)]
     for _, big, _, sub in transitive_pairs(ctx):
         pair = quotient(big, core(big, sub), sub)
-        if admits_transitive_embedding(pair, ctx) != admits_transitive_embedding(
-            pair, ctx, conjugacy_reduced=True
-        ):
+        scan = any(
+            find_isomorphism(pair, model) is not None
+            for model in models
+            if model.size == pair.size
+        )
+        if admits_transitive_embedding(pair, ctx) != scan:
             return CheckResult(
                 "conjugacy-reduced oracle preserves answers", False, f"|G|={len(big)}"
             )

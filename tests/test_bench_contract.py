@@ -13,8 +13,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import holgal.verify
+from holgal import core, make_context, quotient, transitive_pairs
 from holgal.cli import build_parser
+from holgal.oracle import oracle_decision
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -61,3 +65,16 @@ def test_every_traced_function_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert hooks and missing == []
+
+
+@pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])
+def test_tracer_knows_every_oracle_reason(pe):
+    # the tracer buckets each rejection by the start of its reason and stops
+    # a traced run on a reason it does not know
+    ctx = make_context(*pe)
+    unknown = set()
+    for _, big, _, sub in transitive_pairs(ctx):
+        reason = oracle_decision(quotient(big, core(big, sub), sub), ctx).reason
+        if reason != "isomorphism found" and not reason.startswith(tuple(tracer._REJECTIONS)):
+            unknown.add(reason)
+    assert unknown == set()

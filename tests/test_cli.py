@@ -176,6 +176,11 @@ class TestProbe:
         assert run(["probe", 2, 2, "--G", "[1,3]", "--H", "[1,1]"]) == 2
         assert "not contained" in capsys.readouterr().err
 
+    def test_intransitive_g_exits_2(self, capsys):
+        # <(1, 3)> has the orbits {0, 1} and {2, 3}; H is trivial, so H <= G
+        assert run(["probe", 2, 2, "--G", "[1,3]", "--H", "[0,1]"]) == 2
+        assert "transitive" in capsys.readouterr().err
+
     def test_wrong_index_exits_2(self, capsys):
         assert run(["probe", 2, 2, "--G", "[1,1];[0,3]", "--H", "[0,3];[2,1]"]) == 2
         assert "index" in capsys.readouterr().err

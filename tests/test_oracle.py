@@ -94,12 +94,35 @@ class TestAdmits:
                 assert admits_transitive_embedding(abstract_group(sub), ctx)
 
     def test_conjugacy_reduction_preserves_answers(self):
+        # the oracle tries one model per Hol-class; the reference scans them all
         for ctx in (C23, C32):
             for _, big, _, sub in transitive_pairs(ctx):
                 pair = quotient(big, core(big, sub), sub)
-                assert admits_transitive_embedding(pair, ctx) == admits_transitive_embedding(
-                    pair, ctx, conjugacy_reduced=True
+                scan = any(
+                    find_isomorphism(pair, abstract_group(model)) is not None
+                    for model in transitive_subgroups_of_order(ctx, pair.size)
                 )
+                assert admits_transitive_embedding(pair, ctx) == scan
+
+    @pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])
+    def test_witness_is_lowest_isomorphic_index(self, pe):
+        # probe prints this witness, so it must not depend on which class
+        # members the search keeps
+        ctx = make_context(*pe)
+        admitted = 0
+        for _, big, _, sub in transitive_pairs(ctx):
+            pair = quotient(big, core(big, sub), sub)
+            report = oracle_decision(pair, ctx)
+            if not report.admitted:
+                continue
+            lowest = min(
+                idx
+                for idx, model in transitive_subgroups(ctx)
+                if find_isomorphism(pair, abstract_group(model)) is not None
+            )
+            assert report.witness_index == lowest
+            admitted += 1
+        assert admitted > 0
 
     def test_missing_halfway_order_forces_rejection(self):
         threshold = 2 ** (C23.e - 1)
