@@ -60,8 +60,9 @@ from .subgroups import (
 from .oracle import (
     OracleReport,
     abstract_group,
-    admits_transitive_embedding,
     oracle_decision,
+    pair_decision,
+    pair_quotient,
     regular_subgroups,
     transitive_subgroups,
     transitive_subgroups_of_order,
@@ -74,13 +75,11 @@ from .criteria import (
     CASE_IV,
     CASE_ODD_NOT_CONJUGATE,
     DichotomyDescriptor,
-    StructuralStats,
     Verdict,
     classify_pair,
     dichotomy_case,
     even_predicate,
     odd_predicate,
-    structural_probes,
     transitive_pairs,
 )
 

@@ -16,16 +16,9 @@ from typing import Optional
 
 from .criteria import RECORD_COLUMNS, Verdict, classify_pair, transitive_pairs
 from .holomorph import format_element, parse_element
-from .oracle import oracle_decision
+from .oracle import pair_decision, transitive_subgroups
 from .residue import make_context
-from .subgroups import (
-    CapacityError,
-    all_subgroups,
-    closure,
-    core,
-    is_transitive,
-    quotient,
-)
+from .subgroups import CapacityError, all_subgroups, closure
 from .verify import run_checks
 
 SCHEMA_VERSION = "v1"
@@ -69,7 +62,7 @@ def _write_manifest(path: Path, ctx) -> None:
             }
             for i, sub in enumerate(subs)
         ],
-        "transitive_indices": [i for i, sub in enumerate(subs) if is_transitive(sub)],
+        "transitive_indices": [i for i, _ in transitive_subgroups(ctx)],
     }
     with open(path, "w") as handle:
         json.dump(manifest, handle, indent=2)
@@ -166,7 +159,7 @@ def cmd_probe(args) -> int:
     for key, value in verdict.record().items():
         print(f"  {key} = {value}")
 
-    report = oracle_decision(quotient(big, core(big, sub), sub), ctx)
+    report = pair_decision(big, sub)
     if report.admitted:
         witness = " ".join(format_element(g) for g in report.witness.elements)
         print(f"witness: transitive subgroup index {report.witness_index}: {witness}")

@@ -12,25 +12,20 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional
 
-from .holomorph import HolElement, element_order
+from .holomorph import element_order
 from .residue import GroupContext, padic_valuation
 from .subgroups import (
     Subgroup,
     all_subgroups,
     are_conjugate,
-    center,
-    centralizer,
     closure,
-    core,
     derived_subgroup,
-    is_cyclic,
     is_normal,
     is_transitive,
-    quotient,
     stabilizer,
     translation_part,
 )
-from .oracle import admits_transitive_embedding
+from .oracle import pair_decision, transitive_subgroups
 
 CASE_ADMITS = "ADMITS"
 CASE_I = "CASE_I"
@@ -149,64 +144,6 @@ def dichotomy_case(big: Subgroup) -> DichotomyDescriptor:
 
 
 @dataclass(frozen=True)
-class StructuralStats:
-    """Structural measurements of one transitive 2-group, for the property suite."""
-
-    center_order: int
-    derived_order: int
-    center_cyclic: bool
-    central_half_translation: bool  # translation by n/2 lies in the center
-    has_full_order: bool
-    congruence_mod4: bool  # b - 1 = 2v mod 4 for every (v, b) in G
-    stab_in_square_units: bool  # every stabilizer multiplier is 1 mod 4
-    order4_central_witness: Optional[bool]  # (n/4, 1 + n/2) central; None if full order
-    half_unit_centralizer: Optional[int]  # |C_G((0, 1 + n/2))| when that element is in G
-    reflection_centralizers: tuple[tuple[HolElement, int], ...]
-
-
-def structural_probes(big: Subgroup) -> StructuralStats:
-    """Center, derived subgroup, centralizer sizes and congruence flags."""
-    ctx = big.ctx
-    if ctx.p != 2:
-        raise ValueError("structural_probes requires p = 2")
-    if not is_transitive(big):
-        raise ValueError("structural_probes requires a transitive subgroup")
-    n = ctx.n
-    z = center(big)
-    derived = derived_subgroup(big)
-    full = has_full_order_element(big)
-    half = n // 2
-    half_unit = (1 + half) % n
-
-    order4_witness = None
-    if not full and ctx.e >= 2:
-        order4_witness = (n // 4, half_unit) in z.member_set
-
-    half_unit_centralizer = None
-    if (0, half_unit) in big.member_set:
-        half_unit_centralizer = len(centralizer(big, (0, half_unit)))
-
-    reflections = tuple(
-        (g, len(centralizer(big, g)))
-        for g in big.elements
-        if g[1] == n - 1 and g[0] % 2 == 1
-    )
-
-    return StructuralStats(
-        center_order=len(z),
-        derived_order=len(derived),
-        center_cyclic=is_cyclic(z),
-        central_half_translation=(half % n, 1) in z.member_set,
-        has_full_order=full,
-        congruence_mod4=all((b - 1 - 2 * v) % 4 == 0 for v, b in big.elements),
-        stab_in_square_units=all(a % 4 == 1 for _, a in stabilizer(big).elements),
-        order4_central_witness=order4_witness,
-        half_unit_centralizer=half_unit_centralizer,
-        reflection_centralizers=reflections,
-    )
-
-
-@dataclass(frozen=True)
 class Verdict:
     """One classified (G, H) pair: statistics, both answers, fired case."""
 
@@ -251,9 +188,7 @@ def classify_pair(
         case = CASE_ADMITS if crit else CASE_ODD_NOT_CONJUGATE
     oracle_answer: Optional[bool] = None
     if run_oracle:
-        nucleus = core(big, sub)
-        pair = quotient(big, nucleus, sub)
-        oracle_answer = admits_transitive_embedding(pair, ctx)
+        oracle_answer = pair_decision(big, sub).admitted
     return Verdict(
         p=ctx.p,
         e=ctx.e,
@@ -281,9 +216,7 @@ def transitive_pairs(
     """All (g_index, G, h_index, H) with G transitive and [G : H] = n."""
     subs = all_subgroups(ctx, max_order)
     out = []
-    for gi, big in enumerate(subs):
-        if not is_transitive(big):
-            continue
+    for gi, big in transitive_subgroups(ctx):
         h_order = len(big) // ctx.n
         for hi, sub in enumerate(subs):
             if len(sub.elements) == h_order and sub.member_set <= big.member_set:

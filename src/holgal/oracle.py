@@ -6,6 +6,11 @@ exactly onto the point stabilizer.  Hol-conjugate transitive subgroups give
 isomorphic marked pairs, so the search tries one model per Hol-conjugacy
 class.  Failure reports name the strongest pre-filter that fired, success
 reports carry a witness and the isomorphism.
+
+A pair (G, H) of subgroups of Hol poses this question for (G/C, H/C), with C
+the core of H in G.  `pair_quotient` builds that marked table and
+`pair_decision` answers it, cached per pair; `oracle_decision` answers it for
+any marked table.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .subgroups import (
     Subgroup,
     all_subgroups,
     conjugates,
+    core,
     find_isomorphism,
     holomorph_group,
     is_regular,
@@ -79,7 +85,6 @@ class OracleReport:
     isomorphism: Optional[tuple[int, ...]] = None
 
 
-@lru_cache(maxsize=None)
 def _decide(pair: AbstractGroup, ctx: GroupContext) -> OracleReport:
     size = pair.size
     if size % ctx.n != 0 or len(pair.marked) * ctx.n != size:
@@ -116,13 +121,20 @@ def _decide(pair: AbstractGroup, ctx: GroupContext) -> OracleReport:
 
 
 def oracle_decision(pair: AbstractGroup, ctx: GroupContext) -> OracleReport:
-    """Full report for one marked pair against the transitive models."""
+    """Full report for one marked table against the transitive models."""
     return _decide(pair, ctx)
 
 
-def admits_transitive_embedding(pair: AbstractGroup, ctx: GroupContext) -> bool:
-    """True iff the marked pair embeds as (transitive subgroup, stabilizer)."""
-    return _decide(pair, ctx).admitted
+def pair_quotient(big: Subgroup, sub: Subgroup) -> AbstractGroup:
+    """(G/C, H/C) as a marked table, C the core of H in G."""
+    return quotient(big, core(big, sub), sub)
+
+
+@lru_cache(maxsize=None)
+def pair_decision(big: Subgroup, sub: Subgroup) -> OracleReport:
+    """Full report for the pair (G, H); the index is not checked here, a
+    mismatch is reported as "size incompatible"."""
+    return _decide(pair_quotient(big, sub), big.ctx)
 
 
 # ---------------------------------------------------------------------------

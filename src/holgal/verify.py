@@ -27,7 +27,9 @@ from .holomorph import (
 )
 from .oracle import (
     abstract_group,
-    admits_transitive_embedding,
+    oracle_decision,
+    pair_decision,
+    pair_quotient,
     regular_catalog,
     regular_subgroups,
     transitive_subgroups,
@@ -57,7 +59,6 @@ from .subgroups import (
     is_normal,
     is_regular,
     is_transitive,
-    quotient,
     stabilizer,
     translation_part,
 )
@@ -80,13 +81,12 @@ class CheckResult:
 # Element-level formulas
 
 
-def check_power_formula(ctx: GroupContext, kmax: Optional[int] = None) -> CheckResult:
+def check_power_formula(ctx: GroupContext) -> CheckResult:
     """power(g, k) against k-fold iterated multiplication, all g, k <= 2n."""
-    kmax = 2 * ctx.n if kmax is None else kmax
     n = ctx.n
     for g in holomorph_group(ctx).elements:
         x = IDENTITY
-        for k in range(kmax + 1):
+        for k in range(2 * n + 1):
             if power(g, k, ctx) != x:
                 return CheckResult(
                     "power formula vs iterated multiplication", False,
@@ -271,13 +271,13 @@ def isomorphic_bruteforce(first: AbstractGroup, second: AbstractGroup) -> bool:
     return assign(0)
 
 
-def check_iso_bruteforce(ctx: GroupContext, size_cap: int = 12, sample_cap: int = 60) -> CheckResult:
-    """find_isomorphism against the unpruned reference search on small pairs."""
+def check_iso_bruteforce(ctx: GroupContext) -> CheckResult:
+    """find_isomorphism against the unpruned reference search on small pairs
+    (quotients of order <= 12, at most 60 comparisons)."""
     compared = 0
     for _, big, _, sub in transitive_pairs(ctx):
-        nucleus = core(big, sub)
-        pair = quotient(big, nucleus, sub)
-        if pair.size > size_cap:
+        pair = pair_quotient(big, sub)
+        if pair.size > 12:
             continue
         for model in map(abstract_group, transitive_subgroups_of_order(ctx, pair.size)):
             fast = find_isomorphism(pair, model) is not None
@@ -288,7 +288,7 @@ def check_iso_bruteforce(ctx: GroupContext, size_cap: int = 12, sample_cap: int 
                     f"size {pair.size}: backtracker {fast}, brute force {slow}",
                 )
             compared += 1
-            if compared >= sample_cap:
+            if compared >= 60:
                 return CheckResult("isomorphism search vs brute force", True, f"{compared} pairs")
     return CheckResult("isomorphism search vs brute force", True, f"{compared} pairs")
 
@@ -300,7 +300,7 @@ def check_iso_bruteforce(ctx: GroupContext, size_cap: int = 12, sample_cap: int 
 def check_oracle_self_witness(ctx: GroupContext) -> CheckResult:
     """(G, stabilizer(G)) must always embed: G is its own witness."""
     for idx, sub in transitive_subgroups(ctx):
-        if not admits_transitive_embedding(abstract_group(sub), ctx):
+        if not oracle_decision(abstract_group(sub), ctx).admitted:
             return CheckResult("oracle accepts (G, stabilizer)", False, f"G index {idx}")
     return CheckResult("oracle accepts (G, stabilizer)", True)
 
@@ -312,10 +312,7 @@ def check_oracle_conjugation(ctx: GroupContext) -> CheckResult:
     for gi, big, hi, sub in pairs:
         by_big.setdefault((gi, big), []).append((hi, sub))
     for (gi, big), subs in by_big.items():
-        answers = {}
-        for hi, sub in subs:
-            pair = quotient(big, core(big, sub), sub)
-            answers[hi] = admits_transitive_embedding(pair, ctx)
+        answers = {hi: pair_decision(big, sub).admitted for hi, sub in subs}
         # conjugacy classes among the candidate subgroups
         index_of = {sub.member_set: hi for hi, sub in subs}
         for hi, sub in subs:
@@ -334,13 +331,13 @@ def check_oracle_reduction(ctx: GroupContext) -> CheckResult:
     scan of every transitive subgroup of the pair's order does."""
     models = [abstract_group(sub) for _, sub in transitive_subgroups(ctx)]
     for _, big, _, sub in transitive_pairs(ctx):
-        pair = quotient(big, core(big, sub), sub)
+        pair = pair_quotient(big, sub)
         scan = any(
             find_isomorphism(pair, model) is not None
             for model in models
             if model.size == pair.size
         )
-        if admits_transitive_embedding(pair, ctx) != scan:
+        if pair_decision(big, sub).admitted != scan:
             return CheckResult(
                 "conjugacy-reduced oracle preserves answers", False, f"|G|={len(big)}"
             )
@@ -351,9 +348,8 @@ def check_prefilter(ctx: GroupContext) -> CheckResult:
     """p = 2: a quotient without an order 2^(e-1) element never embeds."""
     threshold = 2 ** (ctx.e - 1)
     for _, big, _, sub in transitive_pairs(ctx):
-        pair = quotient(big, core(big, sub), sub)
-        if threshold not in pair.element_orders:
-            if admits_transitive_embedding(pair, ctx):
+        if threshold not in pair_quotient(big, sub).element_orders:
+            if pair_decision(big, sub).admitted:
                 return CheckResult(
                     "missing order-2^(e-1) element forces rejection", False,
                     f"|G|={len(big)} |H|={len(sub)}",
@@ -495,8 +491,7 @@ def check_dichotomy(ctx: GroupContext) -> CheckResult:
                     "dichotomy", False, f"G index {idx}: witness not inside G"
                 )
             admitted, _ = even_predicate(sub, witness)
-            pair = quotient(sub, core(sub, witness), witness)
-            if admitted or admits_transitive_embedding(pair, ctx):
+            if admitted or pair_decision(sub, witness).admitted:
                 return CheckResult(
                     "dichotomy", False, f"G index {idx}: witness admitted in branch (b)"
                 )
@@ -507,8 +502,7 @@ def check_meet_rules(ctx: GroupContext) -> CheckResult:
     """Meet size >= 4 forces rejection; meet size 2 admits exactly when G has
     a full-order element and H is normal."""
     for gi, big, hi, sub in transitive_pairs(ctx):
-        pair = quotient(big, core(big, sub), sub)
-        admitted = admits_transitive_embedding(pair, ctx)
+        admitted = pair_decision(big, sub).admitted
         meet = len(translation_part(sub))
         if meet >= 4 and admitted:
             return CheckResult(

@@ -53,7 +53,7 @@ def test_criterion_1_formula_equivalence():
     results = []
     for p, e in FORMULA_CONTEXTS:
         ctx = make_context(p, e)
-        results.append(check_power_formula(ctx, kmax=2 * ctx.n))
+        results.append(check_power_formula(ctx))
         results.append(check_order_formula(ctx))
         results.extend(check_residue_formulas(ctx, kmax=2 * ctx.n))
     _criterion(1, "power/order/valuation formulas", results, time.time() - start, budget=10.0)

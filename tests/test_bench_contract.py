@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
+import holgal.oracle
 import holgal.verify
-from holgal import core, make_context, quotient, transitive_pairs
+from holgal import classify_pair, make_context, transitive_pairs
 from holgal.cli import build_parser
-from holgal.oracle import oracle_decision
+from holgal.oracle import pair_decision
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -74,7 +75,29 @@ def test_tracer_knows_every_oracle_reason(pe):
     ctx = make_context(*pe)
     unknown = set()
     for _, big, _, sub in transitive_pairs(ctx):
-        reason = oracle_decision(quotient(big, core(big, sub), sub), ctx).reason
+        reason = pair_decision(big, sub).reason
         if reason != "isomorphism found" and not reason.startswith(tuple(tracer._REJECTIONS)):
             unknown.add(reason)
     assert unknown == set()
+
+
+def test_tracer_sees_one_decision_per_pair(monkeypatch):
+    # the tracer counts oracle decisions by rebinding holgal.oracle._decide;
+    # pair_decision must look it up at call time, once per uncached pair
+    ctx = make_context(2, 3)
+    decide = holgal.oracle._decide
+    calls = []
+
+    def counting(pair, ctx):
+        calls.append(pair.size)
+        return decide(pair, ctx)
+
+    monkeypatch.setattr(holgal.oracle, "_decide", counting)
+    pair_decision.cache_clear()
+    try:
+        pairs = transitive_pairs(ctx)
+        for gi, big, hi, sub in pairs:
+            classify_pair(ctx, gi, big, hi, sub)
+    finally:
+        pair_decision.cache_clear()
+    assert len(calls) == len(pairs) > 0

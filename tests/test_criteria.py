@@ -1,4 +1,4 @@
-"""Closed-form predicates, dichotomy descriptors, structural probes, verdicts."""
+"""Closed-form predicates, dichotomy descriptors, verdicts."""
 
 import pytest
 
@@ -17,7 +17,6 @@ from holgal import (
     holomorph_group,
     make_context,
     odd_predicate,
-    structural_probes,
     transitive_pairs,
 )
 from holgal.criteria import RECORD_COLUMNS
@@ -108,31 +107,6 @@ class TestDichotomy:
         assert desc.witness.elements == ((0, 1), (2, 1), (4, 1), (6, 1))
         admitted, case = even_predicate(holomorph_group(C23), desc.witness)
         assert not admitted and case == CASE_I
-
-
-class TestStructuralProbes:
-    def test_hol_c4_statistics(self):
-        stats = structural_probes(holomorph_group(C22))
-        assert stats.center_order == 2
-        assert stats.derived_order == 2
-        assert stats.center_order * stats.derived_order == C22.n
-        assert stats.center_cyclic
-        assert stats.central_half_translation
-        assert stats.has_full_order
-        assert stats.half_unit_centralizer == 4
-        assert all(size <= 4 for _, size in stats.reflection_centralizers)
-
-    def test_center_commutator_product_e3(self):
-        from holgal.subgroups import is_regular, is_transitive
-
-        for sub in all_subgroups(C23):
-            if is_transitive(sub) and not is_regular(sub):
-                stats = structural_probes(sub)
-                assert stats.center_order * stats.derived_order == C23.n
-
-    def test_rejects_odd(self):
-        with pytest.raises(ValueError):
-            structural_probes(holomorph_group(C32))
 
 
 class TestClassifyPair:

@@ -6,7 +6,6 @@ from holgal import (
     AbstractGroup,
     all_subgroups,
     closure,
-    core,
     find_isomorphism,
     holomorph_group,
     make_context,
@@ -16,8 +15,9 @@ from holgal import (
 )
 from holgal.oracle import (
     abstract_group,
-    admits_transitive_embedding,
     oracle_decision,
+    pair_decision,
+    pair_quotient,
     regular_catalog,
     regular_subgroups,
     transitive_subgroups,
@@ -55,12 +55,12 @@ class TestTransitiveSubgroups:
 class TestAdmits:
     def test_translation_group_admits_itself(self):
         pair = abstract_group(closure([(1, 1)], C22))
-        assert admits_transitive_embedding(pair, C22)
+        assert oracle_decision(pair, C22).admitted
 
     def test_klein_quotient_admits(self):
         hol = holomorph_group(C22)
         pair = quotient(hol, closure([(2, 1)], C22))
-        assert admits_transitive_embedding(pair, C22)
+        assert oracle_decision(pair, C22).admitted
 
     def test_dihedral_with_reflection_mark_admits(self):
         hol = holomorph_group(C22)
@@ -78,9 +78,7 @@ class TestAdmits:
     def test_big_translation_meet_fails(self):
         hol = holomorph_group(C23)
         sub = closure([(2, 1)], C23)
-        pair = quotient(hol, core(hol, sub), sub)
-        report = oracle_decision(pair, C23)
-        assert not report.admitted
+        assert not pair_decision(hol, sub).admitted
 
     def test_size_incompatibility_is_definite_false(self):
         table = AbstractGroup(table=((0, 1), (1, 0)))  # C_2, marked trivial
@@ -91,18 +89,18 @@ class TestAdmits:
     def test_self_witness_everywhere(self):
         for ctx in (C22, C23, C32):
             for _, sub in transitive_subgroups(ctx):
-                assert admits_transitive_embedding(abstract_group(sub), ctx)
+                assert oracle_decision(abstract_group(sub), ctx).admitted
 
     def test_conjugacy_reduction_preserves_answers(self):
         # the oracle tries one model per Hol-class; the reference scans them all
         for ctx in (C23, C32):
             for _, big, _, sub in transitive_pairs(ctx):
-                pair = quotient(big, core(big, sub), sub)
+                pair = pair_quotient(big, sub)
                 scan = any(
                     find_isomorphism(pair, abstract_group(model)) is not None
                     for model in transitive_subgroups_of_order(ctx, pair.size)
                 )
-                assert admits_transitive_embedding(pair, ctx) == scan
+                assert oracle_decision(pair, ctx).admitted == scan
 
     @pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])
     def test_witness_is_lowest_isomorphic_index(self, pe):
@@ -111,7 +109,7 @@ class TestAdmits:
         ctx = make_context(*pe)
         admitted = 0
         for _, big, _, sub in transitive_pairs(ctx):
-            pair = quotient(big, core(big, sub), sub)
+            pair = pair_quotient(big, sub)
             report = oracle_decision(pair, ctx)
             if not report.admitted:
                 continue
@@ -124,13 +122,23 @@ class TestAdmits:
             admitted += 1
         assert admitted > 0
 
+    @pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])
+    def test_pair_decision_is_the_core_quotient_decision(self, pe):
+        ctx = make_context(*pe)
+        for _, big, _, sub in transitive_pairs(ctx):
+            cached = pair_decision(big, sub)
+            direct = oracle_decision(pair_quotient(big, sub), ctx)
+            assert (cached.admitted, cached.reason) == (direct.admitted, direct.reason)
+            assert cached.witness_index == direct.witness_index
+            assert cached.isomorphism == direct.isomorphism
+
     def test_missing_halfway_order_forces_rejection(self):
         threshold = 2 ** (C23.e - 1)
         checked = 0
         for _, big, _, sub in transitive_pairs(C23):
-            pair = quotient(big, core(big, sub), sub)
+            pair = pair_quotient(big, sub)
             if threshold not in pair.element_orders:
-                assert not admits_transitive_embedding(pair, C23)
+                assert not oracle_decision(pair, C23).admitted
                 checked += 1
         assert checked > 0
 
