@@ -3,8 +3,8 @@
 
 Writes classification tables and manifests into results/ and prints one
 summary line per context.  Pass --stretch to add (2,5), (5,2), (3,3) and
-(7,2), where |Hol| is 512, 500, 486 and 2058: about 75 s more on a 2-vCPU
-machine, 56 s of it in `verify 7 2`.  Each command gets --max-order equal
+(7,2), where |Hol| is 512, 500, 486 and 2058: about 32 s more on a 2-vCPU
+machine, 21 s of it in `verify 7 2`.  Each command gets --max-order equal
 to its |Hol|.  Runs from a checkout without installing: the checkout's src/
 goes on the import path.
 """

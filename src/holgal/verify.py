@@ -8,6 +8,7 @@ of p; the `verify` CLI command prints one line per check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .criteria import (
@@ -23,6 +24,7 @@ from .holomorph import (
     element_order,
     element_order_iterative,
     format_element,
+    left_coset,
     power,
 )
 from .oracle import (
@@ -149,18 +151,27 @@ def check_unit_orders(ctx: GroupContext) -> CheckResult:
 
 
 def check_action_homomorphism(ctx: GroupContext) -> CheckResult:
-    """act(g*h, x) = act(g, act(h, x)) for all g, h, x."""
+    """act(g*h, x) = act(g, act(h, x)) for all g, h, x, with g*h from
+    left_coset.  Compared a row at a time: row[g][x] = act(g, x), and
+    itemgetter(*row[h]) applied to row[g] is the row of x -> act(g, act(h, x))."""
     n = ctx.n
     elems = holomorph_group(ctx).elements
-    for u, a in elems:
-        for v, b in elems:
-            w, c = (u + v * a) % n, (a * b) % n
-            for x in range(n):
-                if (w + c * x) % n != (u + a * ((v + b * x) % n)) % n:
-                    return CheckResult(
-                        "holomorph action is a group action", False,
-                        f"g={format_element((u, a))} h={format_element((v, b))} x={x}",
-                    )
+    row = {(u, a): tuple((u + a * x) % n for x in range(n)) for u, a in elems}
+    # n >= 2, so each getter returns a tuple, the same type as a row
+    after = [itemgetter(*row[h]) for h in elems]
+    for g in elems:
+        acted = row[g]
+        composed = [get(acted) for get in after]
+        product = list(map(row.get, left_coset(g, elems, n)))
+        if composed != product:
+            i = next(i for i, (c, p) in enumerate(zip(composed, product)) if c != p)
+            # a product outside Hol has no row and fails at the first point
+            want = product[i] or (None,) * n
+            x = next(x for x in range(n) if composed[i][x] != want[x])
+            return CheckResult(
+                "holomorph action is a group action", False,
+                f"g={format_element(g)} h={format_element(elems[i])} x={x}",
+            )
     return CheckResult("holomorph action is a group action", True)
 
 
@@ -273,7 +284,9 @@ def isomorphic_bruteforce(first: AbstractGroup, second: AbstractGroup) -> bool:
 
 def check_iso_bruteforce(ctx: GroupContext) -> CheckResult:
     """find_isomorphism against the unpruned reference search on small pairs
-    (quotients of order <= 12, at most 60 comparisons)."""
+    (quotients of order <= 12, at most 60 comparisons).  Where every quotient
+    is larger, nothing is compared and the result is informational."""
+    name = "isomorphism search vs brute force"
     compared = 0
     for _, big, _, sub in transitive_pairs(ctx):
         pair = pair_quotient(big, sub)
@@ -284,13 +297,16 @@ def check_iso_bruteforce(ctx: GroupContext) -> CheckResult:
             slow = isomorphic_bruteforce(pair, model)
             if fast != slow:
                 return CheckResult(
-                    "isomorphism search vs brute force", False,
-                    f"size {pair.size}: backtracker {fast}, brute force {slow}",
+                    name, False, f"size {pair.size}: backtracker {fast}, brute force {slow}"
                 )
             compared += 1
             if compared >= 60:
-                return CheckResult("isomorphism search vs brute force", True, f"{compared} pairs")
-    return CheckResult("isomorphism search vs brute force", True, f"{compared} pairs")
+                return CheckResult(name, True, f"{compared} pairs")
+    if compared == 0:
+        return CheckResult(
+            name, True, "0 pairs: every quotient has order > 12", informational=True
+        )
+    return CheckResult(name, True, f"{compared} pairs")
 
 
 # ---------------------------------------------------------------------------

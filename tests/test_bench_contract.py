@@ -8,6 +8,7 @@ metric that silently reads 0.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -66,6 +67,28 @@ def test_every_traced_function_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert hooks and missing == []
+
+
+def test_traced_checks_match_the_declared_metrics():
+    # the tracer spans every check_* function of holgal.verify and the run
+    # reports each span's time as a declared "verify.<check>.s" metric, so a
+    # renamed check, or a new helper named check_*, would change the metrics
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {m["name"] for m in spec["per_layer"]}
+    tracer._reset()
+    try:
+        for module, _, make in tracer._hooks(holgal.verify):
+            if module == "holgal.verify":
+                make(lambda: [])()
+        spans = {name for name in tracer._spans if name.startswith("verify.")}
+    finally:
+        tracer._reset()
+    # run_checks is reported through its counts, not a time
+    assert "verify.run_checks" in spans
+    assert {"verify.checks", "verify.failed"} <= declared
+    checks = {name + ".s" for name in spans - {"verify.run_checks"}}
+    timed = {name for name in declared if name.startswith("verify.") and name.endswith(".s")}
+    assert timed and checks == timed
 
 
 @pytest.mark.parametrize("pe", [(2, 3), (3, 2), (2, 4)])

@@ -1,5 +1,7 @@
 """Lattice machinery: closure, enumeration, cores, quotients, isomorphisms."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,14 +59,20 @@ def assert_is_isomorphism(mapping, first, second):
     assert {mapping[i] for i in first.marked} == set(second.marked)
 
 
+@lru_cache(maxsize=None)
+def conjugation_map(g, ctx):
+    """x -> g x g^-1 for every x in Hol, from the validated mul and inv."""
+    g_inv = inv(g, ctx)
+    return {x: mul(mul(g, x, ctx), g_inv, ctx) for x in holomorph_group(ctx)}
+
+
 def elementwise_orbit(big, sub):
     """Member sets of g sub g^-1 for every element g of big, one by one,
-    from the validated mul and inv."""
-    ctx = big.ctx
+    looked up in each g's conjugation map."""
     orbit = set()
     for g in big:
-        g_inv = inv(g, ctx)
-        orbit.add(frozenset(mul(mul(g, s, ctx), g_inv, ctx) for s in sub))
+        image = conjugation_map(g, big.ctx)
+        orbit.add(frozenset(map(image.__getitem__, sub.elements)))
     return orbit
 
 
